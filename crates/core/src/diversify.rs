@@ -917,6 +917,14 @@ mod tests {
     }
 
     #[test]
+    fn mmr_select_empty_pool_and_k_zero() {
+        let none: Vec<Scored<(u32, u32)>> = Vec::new();
+        assert!(mmr_select(&none, |_, _| 0.0, 0.7, 3).is_empty());
+        let items = make_items(3, 1, 1);
+        assert!(mmr_select(&items, |_, _| 0.0, 0.7, 0).is_empty());
+    }
+
+    #[test]
     fn mmr_penalty_demotes_duplicates() {
         let pool = vec![
             Scored::new((0u32, 0u32), Score::new(10.0)),

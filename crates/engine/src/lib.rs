@@ -14,7 +14,8 @@
 //!   of immutable index segments with tombstoned deletes and size-tiered
 //!   compaction, pinned to a from-scratch rebuild by a property suite
 //!   (DESIGN.md §9); the base corpus is partitioned round-robin into
-//!   `shards` segments exactly as PR 3's [`shard::ShardedCorpus`] did.
+//!   `shards` segments by
+//!   [`SegmentedIndex::build_partitioned`](divtopk_text::segments::SegmentedIndex::build_partitioned).
 //! * [`divtopk_core::MergedSource`] — a binary-heap k-way merge of one
 //!   [`divtopk_text::ScanSource`] / [`divtopk_text::TaSource`] per
 //!   segment, with tombstones filtered at the merge; the framework
@@ -65,7 +66,6 @@ pub mod engine;
 pub mod histogram;
 pub mod proto;
 pub mod server;
-pub mod shard;
 
 /// One-stop imports.
 pub mod prelude {
@@ -74,7 +74,6 @@ pub mod prelude {
     pub use crate::histogram::LatencyHistogram;
     pub use crate::proto::{ProtoError, Request, Response, StatsReport, WireHits};
     pub use crate::server::{Server, ServerConfig, ServerMetrics};
-    pub use crate::shard::ShardedCorpus;
     pub use divtopk_text::persist::SnapshotError;
     pub use divtopk_text::segments::SegmentedIndex;
 }

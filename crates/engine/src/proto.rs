@@ -140,9 +140,7 @@ pub enum Request {
         bound_decay: f64,
         /// Diversification mode, carried in full (selector byte +
         /// mode-specific parameters; see [`MODE_EXACT_ASTAR`] and
-        /// friends). `MmrConfig::k` does not cross the wire — the
-        /// request's own `k` governs — so it decodes as the placeholder
-        /// `0` (the [`DiversifyMode::mmr`] convention).
+        /// friends).
         mode: DiversifyMode,
     },
     /// Serving counters + latency quantiles.
@@ -187,9 +185,9 @@ fn put_mode(out: &mut Vec<u8>, mode: &DiversifyMode) {
             out.push(MODE_EXACT_CUT)
         }
         DiversifyMode::None => out.push(MODE_NONE),
-        DiversifyMode::Mmr(config) => {
+        DiversifyMode::Mmr { lambda } => {
             out.push(MODE_MMR);
-            put_f64(out, config.lambda);
+            put_f64(out, *lambda);
         }
         DiversifyMode::Window(config) => {
             out.push(MODE_WINDOW);

@@ -439,7 +439,11 @@ impl Server {
         // Wake the workers: they drain the admission queue first (every
         // already-accepted search still gets its answer slot filled, so
         // no connection thread is left waiting), then observe the flag
-        // and exit.
+        // and exit. Take the queue lock before ringing: a worker that
+        // checked the flag under that lock is then already waiting, so
+        // the notify cannot fall between its check and its wait (the
+        // handshake `WorkerPool::inject` uses).
+        drop(lock_unpoisoned(&self.shared.queue));
         self.shared.queue_ready.notify_all();
         // Unblock connection reads.
         for stream in lock_unpoisoned(&self.shared.connections).drain(..) {

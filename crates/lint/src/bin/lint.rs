@@ -4,16 +4,21 @@
 //! ```text
 //! lint                      # lint the workspace at the current dir
 //! lint --root PATH          # lint the workspace at PATH
-//! lint --models             # run the three interleaving models instead
+//! lint --models             # run the four interleaving models instead
 //! lint --models --budget N  # ... with a schedule budget of N per model
 //! ```
 //!
+//! A lint run also prints every crate's non-test line count. A
+//! `--models` run also replays each model's deliberately broken
+//! variants, which must be caught.
+//!
 //! Exit status: 0 when clean, 1 on any diagnostic / model failure /
-//! under-explored model, 2 on usage or I/O errors.
+//! under-explored model / uncaught broken variant, 2 on usage or I/O
+//! errors.
 
 use divtopk_lint::models::{self, Bug};
 use divtopk_lint::sched::{Explorer, Failure, Report};
-use divtopk_lint::walk::lint_workspace;
+use divtopk_lint::walk::{lines_per_crate, lint_workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -69,6 +74,21 @@ fn run_linter(root: &std::path::Path) -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    match lines_per_crate(root) {
+        Ok(counts) => {
+            let (mut code, mut comment) = (0, 0);
+            for (crate_dir, n) in &counts {
+                println!("lines {crate_dir}: {} code + {} comment", n.code, n.comment);
+                code += n.code;
+                comment += n.comment;
+            }
+            println!("lines total: {code} code + {comment} comment (non-test)");
+        }
+        Err(e) => {
+            eprintln!("lint: cannot count lines under {}: {e}", root.display());
+            return ExitCode::from(2);
+        }
+    }
     if diagnostics.is_empty() {
         println!("lint: workspace clean");
         return ExitCode::SUCCESS;
@@ -86,32 +106,76 @@ fn run_interleaving_models(budget: usize) -> ExitCode {
         ..Explorer::default()
     };
     // The prefetch protocol's interesting schedules (park → pop →
-    // re-spawn races) need more context switches than the other two; a
+    // re-spawn races) need more context switches than the others; a
     // deeper preemption bound keeps its bounded space both meaningful
     // and exhaustible (see DESIGN.md §13).
     let deep = Explorer {
         max_preemptions: 4,
         ..explorer
     };
-    type ModelRun = Box<dyn Fn() -> Result<Report, Failure>>;
-    let runs: [(&str, ModelRun); 3] = [
+    type ModelRun<'a> = &'a dyn Fn() -> Result<Report, Failure>;
+    // Each good model, then each planted bug as a negative control: a
+    // bug the explorer misses would mean the good runs prove nothing.
+    let runs: [(&str, ModelRun, bool); 10] = [
         (
             "pool-handshake",
-            Box::new(move || models::pool_handshake(&explorer, 2, 2, Bug::None)),
+            &|| models::pool_handshake(&explorer, 2, 2, Bug::None),
+            false,
         ),
         (
             "prefetch-pump",
-            Box::new(move || models::prefetch_pump(&deep, 1, 4, Bug::None)),
+            &|| models::prefetch_pump(&deep, 1, 4, Bug::None),
+            false,
         ),
         (
             "single-flight",
-            Box::new(move || models::single_flight(&explorer, 3, Bug::None)),
+            &|| models::single_flight(&explorer, 3, Bug::None),
+            false,
+        ),
+        (
+            "server-shutdown",
+            &|| models::server_shutdown(&explorer, 2, 2, Bug::None),
+            false,
+        ),
+        (
+            "pool-handshake/skip-signal-serialization",
+            &|| models::pool_handshake(&explorer, 1, 1, Bug::PoolSkipSignalSerialization),
+            true,
+        ),
+        (
+            "prefetch-pump/no-respawn",
+            &|| models::prefetch_pump(&deep, 1, 3, Bug::PrefetchNoRespawn),
+            true,
+        ),
+        (
+            "prefetch-pump/double-respawn",
+            &|| models::prefetch_pump(&deep, 1, 3, Bug::PrefetchDoubleRespawn),
+            true,
+        ),
+        (
+            "single-flight/insert-after-release",
+            &|| models::single_flight(&explorer, 2, Bug::FlightInsertAfterRelease),
+            true,
+        ),
+        (
+            "single-flight/drop-notify",
+            &|| models::single_flight(&explorer, 2, Bug::FlightDropNotify),
+            true,
+        ),
+        (
+            "server-shutdown/unlocked-notify",
+            &|| models::server_shutdown(&explorer, 1, 0, Bug::ServerUnlockedNotify),
+            true,
         ),
     ];
+    // The explorer reads panic payloads itself; silence the default hook
+    // so the planted assertions do not spray backtraces over the log.
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
     let mut failed = false;
-    for (name, run) in runs {
-        match run() {
-            Ok(report) => {
+    for (name, run, planted) in runs {
+        match (run(), planted) {
+            (Ok(report), false) => {
                 let coverage = if report.exhausted {
                     "exhausted"
                 } else {
@@ -129,15 +193,27 @@ fn run_interleaving_models(budget: usize) -> ExitCode {
                     failed = true;
                 }
             }
-            Err(failure) => {
+            (Err(failure), false) => {
                 println!(
                     "model {name}: FAIL — {} after {} clean schedules; witness {:?}",
                     failure.kind, failure.schedules_before, failure.schedule
                 );
                 failed = true;
             }
+            (Err(failure), true) => println!(
+                "model {name}: caught — {} after {} clean schedules",
+                failure.kind, failure.schedules_before
+            ),
+            (Ok(report), true) => {
+                println!(
+                    "model {name}: FAIL — planted bug not caught in {} schedules",
+                    report.schedules
+                );
+                failed = true;
+            }
         }
     }
+    std::panic::set_hook(hook);
     if failed {
         ExitCode::FAILURE
     } else {

@@ -1,4 +1,4 @@
-//! The three concurrency models checked by the interleaving explorer.
+//! The four concurrency models checked by the interleaving explorer.
 //!
 //! Each model is a faithful miniature of one hand-rolled protocol in the
 //! workspace, built on the [`crate::sched`] shims, asserting that
@@ -14,6 +14,7 @@
 //! | [`pool_handshake`] | `divtopk_core::pool` inject/worker | no lost wakeup: every injected task executes and the scope completes |
 //! | [`prefetch_pump`] | `divtopk_core::prefetch` park/re-spawn | exactly one pump alive; consumer drains all items in order |
 //! | [`single_flight`] | `divtopk_engine::engine` inflight set | one computation per key; every waiter gets the value |
+//! | [`server_shutdown`] | `divtopk_engine::server` admission queue + shutdown | shutdown joins every worker; every admitted search is served |
 
 use crate::sched::{
     Explorer, Failure, Report, SimAtomicBool, SimCondvar, SimCounter, SimMutex, spawn,
@@ -48,6 +49,12 @@ pub enum Bug {
     /// `single_flight`: the claim holder never notifies the condvar —
     /// waiters sleep forever (the dropped-notify regression).
     FlightDropNotify,
+    /// `server_shutdown`: shutdown sets the flag and rings
+    /// `queue_ready` without taking the queue lock, so a worker between
+    /// its flag check and its wait sleeps through the only notify and
+    /// the join hangs — the window `Server::shutdown` closes by locking
+    /// and dropping the queue before `notify_all`.
+    ServerUnlockedNotify,
 }
 
 // ---------------------------------------------------------------------
@@ -379,4 +386,86 @@ fn flight_caller(m: &FlightModel, bug: Bug) -> u32 {
         }
     }
     value
+}
+
+// ---------------------------------------------------------------------
+// Model 4: server admission queue + shutdown (divtopk_engine::server)
+// ---------------------------------------------------------------------
+
+struct ServerModel {
+    /// The admission queue (`ServerShared::queue`).
+    queue: SimMutex<VecDeque<u32>>,
+    /// `ServerShared::queue_ready`.
+    queue_ready: SimCondvar,
+    shutdown: SimAtomicBool,
+    served: SimCounter,
+}
+
+/// The server's search workers and graceful shutdown: `workers` workers,
+/// `jobs` admitted searches, then `Server::shutdown`. Invariants: the
+/// shutdown joins every worker (none sleeps through the final notify)
+/// and every admitted search is served.
+///
+/// Protocol under test (mirrors `server.rs`):
+/// * admit: lock queue → push → unlock → `queue_ready.notify_one()`;
+/// * worker: lock queue → pop, else check the flag, else wait;
+/// * shutdown: set the flag → lock+drop the queue →
+///   `queue_ready.notify_all()` → join.
+pub fn server_shutdown(
+    explorer: &Explorer,
+    workers: usize,
+    jobs: u32,
+    bug: Bug,
+) -> Result<Report, Failure> {
+    explorer.explore(move || {
+        let m = Arc::new(ServerModel {
+            queue: SimMutex::new(VecDeque::new()),
+            queue_ready: SimCondvar::new(),
+            shutdown: SimAtomicBool::new(false),
+            served: SimCounter::new(),
+        });
+        let mut handles = Vec::new();
+        for _ in 0..workers {
+            let m = Arc::clone(&m);
+            handles.push(spawn(move || server_worker(&m)));
+        }
+        for job in 0..jobs {
+            m.queue.lock().push_back(job);
+            m.queue_ready.notify_one();
+        }
+        m.shutdown.swap(true, Ordering::SeqCst);
+        if bug != Bug::ServerUnlockedNotify {
+            // A worker that saw the flag clear under the queue lock is
+            // waiting by the time this lock is granted.
+            drop(m.queue.lock());
+        }
+        m.queue_ready.notify_all();
+        for h in handles {
+            h.join();
+        }
+        let served = m.served.get();
+        assert!(
+            served == jobs as usize,
+            "server model: served {served} of {jobs} admitted searches"
+        );
+    })
+}
+
+fn server_worker(m: &ServerModel) {
+    loop {
+        {
+            let mut queue = m.queue.lock();
+            loop {
+                if queue.pop_front().is_some() {
+                    break;
+                }
+                if m.shutdown.load(Ordering::SeqCst) {
+                    return;
+                }
+                queue = m.queue_ready.wait(queue);
+            }
+        }
+        // The search itself runs outside the lock.
+        m.served.bump();
+    }
 }

@@ -68,6 +68,28 @@ pub fn scan(source: &str) -> ScannedFile {
     ScannedFile { lines }
 }
 
+/// Non-blank lines outside `#[cfg(test)]` items, split by kind.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LineCount {
+    /// Lines with anything left once comments and literals are masked.
+    pub code: usize,
+    /// Lines holding only comment text (doc comments included).
+    pub comment: usize,
+}
+
+/// Counts `source`'s non-blank lines outside `#[cfg(test)]` items.
+pub fn count_non_test_lines(source: &str) -> LineCount {
+    let mut count = LineCount::default();
+    for line in scan(source).lines.iter().filter(|l| !l.in_test) {
+        if !line.code.trim().is_empty() {
+            count.code += 1;
+        } else if !line.comment.trim().is_empty() {
+            count.comment += 1;
+        }
+    }
+    count
+}
+
 /// Scans one line starting in `mode`; returns the scanned line and the
 /// mode the next line starts in.
 fn scan_line(raw: &str, mut mode: Mode) -> (Line, Mode) {
@@ -318,5 +340,20 @@ mod tests {
             f.lines[1].in_test && f.lines[2].in_test && f.lines[3].in_test && f.lines[4].in_test
         );
         assert!(!f.lines[5].in_test);
+    }
+
+    #[test]
+    fn non_test_lines_skip_blanks_and_test_modules() {
+        let src = "//! Module docs.\n\n/// Item docs.\nfn prod() {\n    // note\n    run(); // trailing\n}\n//\n\n#[cfg(test)]\nmod tests {\n    // test note\n    #[test]\n    fn t() {}\n}\n";
+        // Code: `fn prod() {`, `run();`, `}`. Comments: the two docs and
+        // `// note`; the bare `//` is blank; the test module is skipped.
+        assert_eq!(
+            count_non_test_lines(src),
+            LineCount {
+                code: 3,
+                comment: 3
+            }
+        );
+        assert_eq!(count_non_test_lines(""), LineCount::default());
     }
 }

@@ -10,6 +10,8 @@
 //! tests. Hidden directories (`.git`, `.github`) are skipped too.
 
 use crate::rules::{Diagnostic, lint_source};
+use crate::scan::{LineCount, count_non_test_lines};
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -56,4 +58,27 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
     }
     out.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Ok(out)
+}
+
+/// Non-test lines ([`count_non_test_lines`]) per crate, keyed by the
+/// crate directory (`crates/core`; `.` for the facade's `src/`) in
+/// sorted order — the size figure tracked from change to change.
+pub fn lines_per_crate(root: &Path) -> io::Result<Vec<(String, LineCount)>> {
+    let mut counts: BTreeMap<String, LineCount> = BTreeMap::new();
+    for rel in lintable_files(root)? {
+        let source = fs::read_to_string(root.join(&rel))?;
+        let parts: Vec<String> = rel
+            .components()
+            .map(|c| c.as_os_str().to_string_lossy().into_owned())
+            .collect();
+        let crate_dir = match parts.iter().position(|p| p == "src") {
+            Some(0) | None => ".".to_owned(),
+            Some(i) => parts[..i].join("/"),
+        };
+        let file = count_non_test_lines(&source);
+        let total = counts.entry(crate_dir).or_default();
+        total.code += file.code;
+        total.comment += file.comment;
+    }
+    Ok(counts.into_iter().collect())
 }

@@ -1,4 +1,4 @@
-//! Acceptance tests for the interleaving explorer and the three protocol
+//! Acceptance tests for the interleaving explorer and the four protocol
 //! models (ISSUE acceptance: each good model explores ≥1000 distinct
 //! schedules deterministically and passes; each intentionally-broken
 //! variant is caught).
@@ -241,6 +241,39 @@ fn single_flight_with_dropped_notify_deadlocks() {
     );
 }
 
+#[test]
+fn server_shutdown_good_explores_1000_schedules() {
+    let report = models::server_shutdown(&explorer(), 2, 2, Bug::None)
+        .expect("server shutdown must pass every schedule");
+    assert!(
+        report.schedules >= 1000,
+        "coverage floor: {} schedules",
+        report.schedules
+    );
+}
+
+#[test]
+fn server_shutdown_is_deterministic() {
+    let e = Explorer {
+        max_schedules: 1500,
+        ..explorer()
+    };
+    let a = models::server_shutdown(&e, 2, 2, Bug::None).expect("passes");
+    let b = models::server_shutdown(&e, 2, 2, Bug::None).expect("passes");
+    assert_eq!(a, b);
+}
+
+#[test]
+fn server_shutdown_with_unlocked_notify_deadlocks() {
+    let failure = models::server_shutdown(&explorer(), 1, 0, Bug::ServerUnlockedNotify)
+        .expect_err("an unlocked shutdown notify must strand a worker");
+    assert!(
+        matches!(failure.kind, FailureKind::Deadlock { .. }),
+        "expected deadlock, got {:?}",
+        failure.kind
+    );
+}
+
 // --------------------------------------------------------------- the CLI
 
 #[test]
@@ -276,5 +309,10 @@ fn lint_bin_flags_a_seeded_violation_and_passes_a_clean_tree() {
         .output()
         .expect("run lint bin");
     assert!(out.status.success(), "clean tree must exit zero");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("lines crates/engine: 3 code + 0 comment"),
+        "per-crate line count: {stdout}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -47,7 +47,6 @@ pub mod corpus;
 pub mod document;
 pub mod index;
 pub mod jaccard;
-pub mod mmr;
 pub mod mode;
 pub mod persist;
 pub mod quality;
@@ -71,7 +70,6 @@ pub mod prelude {
     pub use crate::jaccard::{
         similar_above, total_weight, weighted_jaccard, weighted_jaccard_with,
     };
-    pub use crate::mmr::{MmrConfig, mmr_documents, mmr_rerank};
     pub use crate::mode::{DiversifyMode, KnnConfig, WindowConfig};
     pub use crate::persist::SnapshotError;
     pub use crate::quality::{diversified_score, redundancy};

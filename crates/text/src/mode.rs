@@ -13,7 +13,6 @@
 
 use divtopk_core::{ExactAlgorithm, SearchError};
 
-pub use crate::mmr::MmrConfig;
 pub use divtopk_core::diversify::WindowConfig;
 
 /// KNN-diversity configuration (arXiv cs/0310028).
@@ -46,7 +45,7 @@ impl Default for KnnConfig {
 ///   relevance oracle.
 /// * [`Mmr`](DiversifyMode::Mmr) — greedy marginal-relevance rerank of
 ///   an oversampled top-`4k` pool; penalizes redundancy, never forbids
-///   it. `config.k` is ignored — [`SearchOptions::k`] governs.
+///   it. The pool and selection size follow [`SearchOptions::k`].
 /// * [`Window`](DiversifyMode::Window) — sliding-window max-per-source
 ///   spread with a score floor and deterministic rotations; the
 ///   production-cheap mode.
@@ -63,9 +62,11 @@ pub enum DiversifyMode {
     Exact(ExactAlgorithm),
     /// Diversity off: plain relevance top-k (the old `diversify: false`).
     None,
-    /// MMR greedy rerank; `MmrConfig::k` is ignored at dispatch (the
-    /// search's own `k` governs).
-    Mmr(MmrConfig),
+    /// MMR greedy rerank (selection size is the search's own `k`).
+    Mmr {
+        /// Trade-off: 1.0 = pure relevance, 0.0 = pure anti-redundancy.
+        lambda: f64,
+    },
     /// Sliding-window max-per-source spread.
     Window(WindowConfig),
     /// DisC dissimilarity + coverage greedy.
@@ -87,10 +88,9 @@ impl DiversifyMode {
         DiversifyMode::Exact(ExactAlgorithm::default())
     }
 
-    /// MMR with the given λ (`k` in the carried config is a placeholder —
-    /// the search's own `k` governs selection size).
+    /// MMR with the given λ.
     pub fn mmr(lambda: f64) -> DiversifyMode {
-        DiversifyMode::Mmr(MmrConfig { lambda, k: 0 })
+        DiversifyMode::Mmr { lambda }
     }
 
     /// Window spread with the Snippet-1 defaults (window 5, 2 per
@@ -113,7 +113,7 @@ impl DiversifyMode {
             DiversifyMode::Exact(ExactAlgorithm::Cut) => "exact-cut",
             DiversifyMode::Exact(ExactAlgorithm::CutConfigured(_)) => "exact-cut-configured",
             DiversifyMode::None => "none",
-            DiversifyMode::Mmr(_) => "mmr",
+            DiversifyMode::Mmr { .. } => "mmr",
             DiversifyMode::Window(_) => "window",
             DiversifyMode::Disc => "disc",
             DiversifyMode::Knn(_) => "knn",
@@ -128,8 +128,8 @@ impl DiversifyMode {
     pub fn validate(&self) -> Result<(), SearchError> {
         match self {
             DiversifyMode::Exact(_) | DiversifyMode::None | DiversifyMode::Disc => Ok(()),
-            DiversifyMode::Mmr(config) => {
-                if !config.lambda.is_finite() || !(0.0..=1.0).contains(&config.lambda) {
+            DiversifyMode::Mmr { lambda } => {
+                if !lambda.is_finite() || !(0.0..=1.0).contains(lambda) {
                     return Err(SearchError::InvalidMode {
                         detail: "mmr λ must be a number in [0, 1]",
                     });

@@ -4,11 +4,10 @@
 //! A production engine must restart in milliseconds, not re-tokenize and
 //! re-sort its whole corpus — and it must *checkpoint* in O(what
 //! changed), not O(corpus). This module defines a **dependency-free**
-//! binary container and writers/readers for every serving-state type:
-//! [`Vocabulary`], [`Corpus`] (frozen-statistics epoch included),
-//! [`InvertedIndex`] (posting lists with their stored partials bit-exact
-//! via [`f64::to_bits`]), and the full [`SegmentedIndex`] serving state
-//! as a **snapshot directory** in the LSM-manifest shape.
+//! binary container and one on-disk format: the full [`SegmentedIndex`]
+//! serving state as a **snapshot directory** in the LSM-manifest shape.
+//! There is no standalone corpus or index file; the directory is the
+//! only snapshot format.
 //!
 //! ## Container layout (every file in the snapshot)
 //!
@@ -91,15 +90,11 @@ pub const MAGIC: [u8; 8] = *b"DIVTOPK\0";
 /// The container format revision this build writes and reads.
 pub const FORMAT_VERSION: u32 = 1;
 
-/// Snapshot kind: a standalone [`Corpus`].
-pub const KIND_CORPUS: u32 = 1;
-/// Snapshot kind: a standalone [`InvertedIndex`].
-pub const KIND_INDEX: u32 = 2;
 /// Snapshot kind: the `MANIFEST` of a [`SegmentedIndex`] snapshot
-/// directory (what `Engine::save_snapshot` writes). Kind 3 was the
-/// retired PR-5 monolithic segmented snapshot; the manifest deliberately
-/// takes a fresh kind so a monolithic file can never half-decode as a
-/// manifest.
+/// directory (what `Engine::save_snapshot` writes). Kinds 1–3 are
+/// retired (the standalone corpus and index files and the monolithic
+/// segmented snapshot) and never reused, so an old file can never
+/// half-decode as a current one.
 pub const KIND_MANIFEST: u32 = 4;
 /// Snapshot kind: the `epoch.bin` file (vocabulary + frozen statistics).
 pub const KIND_EPOCH: u32 = 5;
@@ -166,7 +161,7 @@ pub enum SnapshotError {
         found: u32,
     },
     /// The container holds a different snapshot kind than the caller
-    /// asked for (e.g. loading a corpus file as an engine snapshot).
+    /// asked for (e.g. an epoch file where the `MANIFEST` belongs).
     WrongKind {
         /// The kind the file declares.
         found: u32,
@@ -499,8 +494,8 @@ struct Container<'a> {
     /// already checked the *whole file* against the manifest's length +
     /// CRC, which covers every section (payloads and stored CRC fields
     /// alike), so a second pass over the same bytes proves nothing.
-    /// Single-file entry points (`load_corpus`, `load_index`) have no
-    /// outer checksum and always verify per section.
+    /// The manifest itself has no outer checksum and always verifies
+    /// per section.
     trusted: bool,
 }
 
@@ -682,9 +677,9 @@ fn read_stats(
     Ok((doc_freq, idf))
 }
 
-fn docs_payload<'a>(docs: impl Iterator<Item = &'a Document>, count: usize) -> Vec<u8> {
+fn docs_payload(docs: &[Document]) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_u64(&mut buf, count as u64);
+    put_u64(&mut buf, docs.len() as u64);
     for doc in docs {
         put_str(&mut buf, &doc.title);
         put_u32(&mut buf, doc.len);
@@ -697,16 +692,15 @@ fn docs_payload<'a>(docs: impl Iterator<Item = &'a Document>, count: usize) -> V
     buf
 }
 
-/// Decodes one documents payload. `expected` tightens validation when
-/// the surrounding structure (a chunk file's own header) already
-/// declares how many documents must be present.
+/// Decodes one documents payload holding the `expected` documents the
+/// chunk file's own header declares.
 fn read_docs(
     mut r: ByteReader<'_>,
     num_terms: usize,
-    expected: Option<usize>,
+    expected: usize,
 ) -> Result<Vec<Document>, SnapshotError> {
     let n = r.counted(12)?;
-    if expected.is_some_and(|want| want != n) {
+    if n != expected {
         return Err(SnapshotError::Malformed {
             context: "document count disagrees with the declared chunk length",
         });
@@ -746,49 +740,6 @@ fn read_docs(
     }
     r.finish()?;
     Ok(docs)
-}
-
-fn corpus_sections(c: &Corpus, out: &mut Vec<([u8; 4], Vec<u8>)>) {
-    out.push((TAG_VOCAB, vocab_payload(c.vocab())));
-    out.push((TAG_STATS, stats_payload(c)));
-    out.push((TAG_DOCS, docs_payload(c.docs(), c.num_docs())));
-}
-
-fn read_corpus_sections(container: &mut Container<'_>) -> Result<Corpus, SnapshotError> {
-    let vocab = read_vocab(container.section(TAG_VOCAB, "vocabulary section")?)?;
-    let (doc_freq, idf) = read_stats(
-        container.section(TAG_STATS, "statistics section")?,
-        vocab.len(),
-    )?;
-    let docs = read_docs(
-        container.section(TAG_DOCS, "documents section")?,
-        vocab.len(),
-        None,
-    )?;
-    Ok(Corpus::from_parts(
-        vocab,
-        docs.into_iter().collect(),
-        doc_freq,
-        idf,
-    ))
-}
-
-/// Serializes a [`Corpus`] (vocabulary, frozen statistics, documents) to
-/// snapshot bytes.
-pub fn corpus_to_bytes(c: &Corpus) -> Vec<u8> {
-    let mut sections = Vec::new();
-    corpus_sections(c, &mut sections);
-    assemble(KIND_CORPUS, sections)
-}
-
-/// Decodes a [`Corpus`] snapshot produced by [`corpus_to_bytes`]. The
-/// result is bit-identical to the corpus that was saved: document
-/// signatures, document frequencies, and every IDF weight's exact bits.
-pub fn corpus_from_bytes(bytes: &[u8]) -> Result<Corpus, SnapshotError> {
-    let mut container = Container::open(bytes, KIND_CORPUS)?;
-    let corpus = read_corpus_sections(&mut container)?;
-    container.finish()?;
-    Ok(corpus)
 }
 
 /// Save-path audit counters: process-wide monotone counts of the fsyncs
@@ -866,108 +817,17 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
     result.map_err(SnapshotError::Io)
 }
 
-/// Writes a [`Corpus`] snapshot to `path` (atomically — sibling temp
-/// file + fsync + rename). Returns the bytes written.
-pub fn save_corpus(path: impl AsRef<Path>, c: &Corpus) -> Result<u64, SnapshotError> {
-    let bytes = corpus_to_bytes(c);
-    write_atomic(path.as_ref(), &bytes)?;
-    Ok(bytes.len() as u64)
-}
-
-/// Loads a [`Corpus`] snapshot from `path`.
-pub fn load_corpus(path: impl AsRef<Path>) -> Result<Corpus, SnapshotError> {
-    corpus_from_bytes(&std::fs::read(path)?)
-}
-
 // ---------------------------------------------------------------------------
-// InvertedIndex
+// InvertedIndex (segment files)
 // ---------------------------------------------------------------------------
-
-fn index_payload(index: &InvertedIndex) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u64(&mut buf, index.num_terms() as u64);
-    for t in 0..index.num_terms() as TermId {
-        let list = index.postings(t);
-        put_u64(&mut buf, list.len() as u64);
-        for p in list {
-            put_u32(&mut buf, p.doc);
-            put_u32(&mut buf, p.tf);
-            put_f64(&mut buf, p.partial);
-        }
-    }
-    buf
-}
-
-/// Decodes one inverted-index payload. `expected_terms` / `num_docs`
-/// tighten validation when the surrounding snapshot knows the corpus
-/// shape (a standalone index snapshot does not).
-fn read_index_payload(
-    mut r: ByteReader<'_>,
-    expected_terms: Option<usize>,
-    num_docs: Option<usize>,
-) -> Result<InvertedIndex, SnapshotError> {
-    let n_terms = r.counted(8)?;
-    if expected_terms.is_some_and(|want| want != n_terms) {
-        return Err(SnapshotError::Malformed {
-            context: "segment term count disagrees with the corpus vocabulary",
-        });
-    }
-    let mut lists: Vec<Vec<Posting>> = Vec::with_capacity(n_terms);
-    for _ in 0..n_terms {
-        let n = r.counted(16)?;
-        let mut list: Vec<Posting> = Vec::with_capacity(n);
-        // One bounds check per list, then a chunked decode (`counted`
-        // proved the bytes are present).
-        let raw = r.take(n * 16)?;
-        for entry in raw.chunks_exact(16) {
-            let doc = u32::from_le_bytes([entry[0], entry[1], entry[2], entry[3]]);
-            let tf = u32::from_le_bytes([entry[4], entry[5], entry[6], entry[7]]);
-            let partial = f64::from_bits(u64::from_le_bytes([
-                entry[8], entry[9], entry[10], entry[11], entry[12], entry[13], entry[14],
-                entry[15],
-            ]));
-            if !partial.is_finite() || !(0.0..=MAX_STORED_VALUE).contains(&partial) {
-                // `posting_order` (and every downstream sort) requires
-                // total-ordering partials, and `ScanSource` feeds the
-                // value straight into `Score::new`, which panics on
-                // negatives (and on the +inf an implausibly huge value
-                // produces when summed) — a forged value here must be a
-                // typed error, not a query-time panic.
-                return Err(SnapshotError::Malformed {
-                    context: "posting partial score outside the plausible range",
-                });
-            }
-            if num_docs.is_some_and(|n| doc as usize >= n) {
-                return Err(SnapshotError::Malformed {
-                    context: "posting references a document outside the corpus",
-                });
-            }
-            let posting = Posting { doc, tf, partial };
-            if list
-                .last()
-                .is_some_and(|prev| InvertedIndex::posting_order(prev, &posting).is_gt())
-            {
-                return Err(SnapshotError::Malformed {
-                    context: "posting list not in (partial desc, doc asc) order",
-                });
-            }
-            list.push(posting);
-        }
-        lists.push(list);
-    }
-    r.finish()?;
-    Ok(InvertedIndex::from_sorted_lists(lists))
-}
 
 /// Segment-file posting payload (DESIGN.md §14): per term, the list
-/// length then `(doc, tf)` pairs in the stored serving order. Unlike
-/// the standalone [`index_payload`], the per-posting `partial` is *not*
-/// stored: it is a deterministic IEEE-754 function of data the snapshot
-/// already carries (`tf as f64 * idf(t) * (1 / sqrt(len))`, the exact
-/// expression `InvertedIndex::build_from_ids` evaluates), so the load
-/// recomputes the identical bits — halving segment bytes, which
-/// dominate cold-start I/O. A standalone index snapshot has no corpus
-/// to recompute from, so `KIND_INDEX` keeps the fat encoding.
+/// length then `(doc, tf)` pairs in the stored serving order. The
+/// per-posting `partial` is *not* stored: it is a deterministic IEEE-754
+/// function of data the snapshot already carries (`tf as f64 * idf(t) *
+/// (1 / sqrt(len))`, the exact expression `InvertedIndex::build_from_ids`
+/// evaluates), so the load recomputes the identical bits — halving
+/// segment bytes, which dominate cold-start I/O.
 fn segment_index_payload(index: &InvertedIndex) -> Vec<u8> {
     let mut buf = Vec::new();
     put_u64(&mut buf, index.num_terms() as u64);
@@ -986,9 +846,9 @@ fn segment_index_payload(index: &InvertedIndex) -> Vec<u8> {
 /// bit-exactly from the epoch IDF table and the per-document
 /// `1/sqrt(len)` factors (`inv_len`, indexed by doc id, 0.0 for
 /// zero-length docs — which never have postings, so the value is never
-/// used). Validation mirrors [`read_index_payload`]: doc ids in range,
-/// non-zero term frequencies, and the one true `(partial desc, doc
-/// asc)` order — forged CRC-valid bytes still fail typed.
+/// used). Validation: doc ids in range, non-zero term frequencies,
+/// plausible partials, and the one true `(partial desc, doc asc)` order
+/// — forged CRC-valid bytes still fail typed.
 fn read_segment_index(
     mut r: ByteReader<'_>,
     idf: &[f64],
@@ -1028,9 +888,8 @@ fn read_segment_index(
             // doc lengths by `read_docs`), so the product is finite.
             let partial = tf as f64 * term_idf * inv_len[doc as usize];
             if !(0.0..=MAX_STORED_VALUE).contains(&partial) {
-                // Same plausibility cap the fat encoding enforces on
-                // stored partials: an absurd tf × a near-cap IDF can
-                // still multiply out to a query-time +inf.
+                // An absurd tf × a near-cap IDF can still multiply out
+                // to a query-time +inf (`Score::new` panics on it).
                 return Err(SnapshotError::Malformed {
                     context: "posting partial score outside the plausible range",
                 });
@@ -1050,37 +909,6 @@ fn read_segment_index(
     }
     r.finish()?;
     Ok(InvertedIndex::from_sorted_lists(lists))
-}
-
-/// Serializes an [`InvertedIndex`] to snapshot bytes. Stored partial
-/// scores travel as [`f64::to_bits`] words — the load is bit-exact.
-pub fn index_to_bytes(index: &InvertedIndex) -> Vec<u8> {
-    assemble(KIND_INDEX, vec![(TAG_INDEX, index_payload(index))])
-}
-
-/// Decodes an [`InvertedIndex`] snapshot produced by [`index_to_bytes`].
-pub fn index_from_bytes(bytes: &[u8]) -> Result<InvertedIndex, SnapshotError> {
-    let mut container = Container::open(bytes, KIND_INDEX)?;
-    let index = read_index_payload(
-        container.section(TAG_INDEX, "inverted index section")?,
-        None,
-        None,
-    )?;
-    container.finish()?;
-    Ok(index)
-}
-
-/// Writes an [`InvertedIndex`] snapshot to `path`. Returns the bytes
-/// written.
-pub fn save_index(path: impl AsRef<Path>, index: &InvertedIndex) -> Result<u64, SnapshotError> {
-    let bytes = index_to_bytes(index);
-    write_atomic(path.as_ref(), &bytes)?;
-    Ok(bytes.len() as u64)
-}
-
-/// Loads an [`InvertedIndex`] snapshot from `path`.
-pub fn load_index(path: impl AsRef<Path>) -> Result<InvertedIndex, SnapshotError> {
-    index_from_bytes(&std::fs::read(path)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -1339,6 +1167,19 @@ fn epoch_to_bytes(c: &Corpus) -> Vec<u8> {
     )
 }
 
+/// Decodes `epoch.bin` bytes (already checked against the manifest's
+/// whole-file CRC): the vocabulary, document frequencies, and IDF table.
+fn read_epoch(bytes: &[u8]) -> Result<(Vocabulary, Vec<u32>, Vec<f64>), SnapshotError> {
+    let mut container = Container::open_trusted(bytes, KIND_EPOCH)?;
+    let vocab = read_vocab(container.section(TAG_VOCAB, "vocabulary section")?)?;
+    let (doc_freq, idf) = read_stats(
+        container.section(TAG_STATS, "statistics section")?,
+        vocab.len(),
+    )?;
+    container.finish()?;
+    Ok((vocab, doc_freq, idf))
+}
+
 fn segment_to_bytes(segment: &Segment) -> Vec<u8> {
     let mut meta = Vec::new();
     put_u64(&mut meta, segment.id());
@@ -1362,7 +1203,7 @@ fn chunk_to_bytes(index: usize, docs: &[Document], weights: &[f64], fingerprint:
         KIND_CHUNK,
         vec![
             (TAG_META, meta),
-            (TAG_DOCS, docs_payload(docs.iter(), docs.len())),
+            (TAG_DOCS, docs_payload(docs)),
             (TAG_WEIGHTS, weights_payload(weights)),
         ],
     )
@@ -1642,13 +1483,7 @@ pub fn load_segmented(dir: impl AsRef<Path>) -> Result<(SegmentedIndex, u64), Sn
     let manifest = manifest_from_bytes(&std::fs::read(dir.join(MANIFEST_NAME))?)?;
 
     let epoch_bytes = read_checked_file(dir, EPOCH_NAME, manifest.epoch_len, manifest.epoch_crc)?;
-    let mut container = Container::open_trusted(&epoch_bytes, KIND_EPOCH)?;
-    let vocab = read_vocab(container.section(TAG_VOCAB, "vocabulary section")?)?;
-    let (doc_freq, idf) = read_stats(
-        container.section(TAG_STATS, "statistics section")?,
-        vocab.len(),
-    )?;
-    container.finish()?;
+    let (vocab, doc_freq, idf) = read_epoch(&epoch_bytes)?;
     if vocab.len() as u64 != manifest.num_terms {
         return Err(SnapshotError::Malformed {
             context: "epoch vocabulary size disagrees with the manifest",
@@ -1672,7 +1507,7 @@ pub fn load_segmented(dir: impl AsRef<Path>) -> Result<(SegmentedIndex, u64), Sn
         let chunk_docs = read_docs(
             c.section(TAG_DOCS, "chunk documents section")?,
             vocab.len(),
-            Some(entry.len as usize),
+            entry.len as usize,
         )?;
         let chunk_weights = read_weights(
             c.section(TAG_WEIGHTS, "chunk weight section")?,
@@ -1821,7 +1656,10 @@ mod tests {
     #[test]
     fn corpus_round_trips_bit_for_bit() {
         let corpus = generate(&SynthConfig::tiny());
-        let loaded = corpus_from_bytes(&corpus_to_bytes(&corpus)).unwrap();
+        let dir = temp_dir("corpus");
+        save_segmented(&dir, &SegmentedIndex::build(corpus.clone()), 0).unwrap();
+        let (loaded, _) = load_segmented(&dir).unwrap();
+        let loaded = loaded.corpus();
         assert_eq!(loaded.num_docs(), corpus.num_docs());
         assert_eq!(loaded.num_terms(), corpus.num_terms());
         assert!(loaded.docs().eq(corpus.docs()));
@@ -1834,23 +1672,32 @@ mod tests {
                 "term {t} renamed"
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn index_round_trips_bit_for_bit() {
-        let corpus = generate(&SynthConfig::tiny());
-        let index = InvertedIndex::build(&corpus);
-        let loaded = index_from_bytes(&index_to_bytes(&index)).unwrap();
-        assert_eq!(loaded.num_terms(), index.num_terms());
-        assert_eq!(loaded.num_postings(), index.num_postings());
-        for t in 0..index.num_terms() as TermId {
-            let (a, b) = (index.postings(t), loaded.postings(t));
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!((x.doc, x.tf), (y.doc, y.tf));
-                assert_eq!(x.partial.to_bits(), y.partial.to_bits());
+        // Segment files carry no partials; the load recomputes them and
+        // must land on the builder's exact bits.
+        let index = small_segmented();
+        let dir = temp_dir("index");
+        save_segmented(&dir, &index, 0).unwrap();
+        let (loaded, _) = load_segmented(&dir).unwrap();
+        assert_eq!(loaded.num_segments(), index.num_segments());
+        for (a, b) in index.segments().iter().zip(loaded.segments()) {
+            let (a, b) = (a.index(), b.index());
+            assert_eq!(a.num_terms(), b.num_terms());
+            assert_eq!(a.num_postings(), b.num_postings());
+            for t in 0..a.num_terms() as TermId {
+                let (x, y) = (a.postings(t), b.postings(t));
+                assert_eq!(x.len(), y.len());
+                for (p, q) in x.iter().zip(y) {
+                    assert_eq!((p.doc, p.tf), (q.doc, q.tf));
+                    assert_eq!(p.partial.to_bits(), q.partial.to_bits());
+                }
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1867,7 +1714,7 @@ mod tests {
             vec![1, 1],
             vec![1e200, 1e200],
         );
-        match corpus_from_bytes(&corpus_to_bytes(&forged)) {
+        match read_epoch(&epoch_to_bytes(&forged)) {
             Err(SnapshotError::Malformed { context }) => {
                 assert!(context.contains("IDF"), "{context}");
             }
@@ -1877,51 +1724,27 @@ mod tests {
 
     #[test]
     fn saves_are_atomic_and_leave_no_temp_files() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("divtopk-atomic-{}.snapshot", std::process::id()));
-        let small = generate(&SynthConfig {
-            num_docs: 20,
-            ..SynthConfig::tiny()
-        });
-        let large = generate(&SynthConfig {
-            num_docs: 40,
-            ..SynthConfig::tiny()
-        });
-        // Overwriting a longer snapshot with a shorter one must leave
+        let dir = temp_dir("atomic");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(EPOCH_NAME);
+        let mut b = crate::corpus::CorpusBuilder::with_synthetic_vocab(2);
+        b.add_tokens("d".into(), vec![0, 1]);
+        let small = epoch_to_bytes(&b.build());
+        let large = epoch_to_bytes(&generate(&SynthConfig::tiny()));
+        assert!(small.len() < large.len());
+        // Overwriting a longer file with a shorter one must leave
         // exactly the new bytes (rename semantics, not in-place write).
-        save_corpus(&path, &large).unwrap();
-        save_corpus(&path, &small).unwrap();
-        let loaded = load_corpus(&path).unwrap();
-        assert_eq!(loaded.num_docs(), 20);
-        let tmp_left = std::fs::read_dir(&dir).unwrap().any(|e| {
-            e.unwrap()
-                .file_name()
-                .to_string_lossy()
-                .starts_with(&format!(
-                    "divtopk-atomic-{}.snapshot.tmp",
-                    std::process::id()
-                ))
-        });
-        assert!(!tmp_left, "temp file leaked");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn negative_partials_are_rejected_even_with_a_valid_crc() {
-        // `ScanSource` feeds stored partials straight into `Score::new`,
-        // which panics on negatives — so a forged-but-CRC-valid snapshot
-        // must be stopped at decode, not at query time.
-        let index = InvertedIndex::from_sorted_lists(vec![vec![Posting {
-            doc: 0,
-            tf: 1,
-            partial: -1.0,
-        }]]);
-        match index_from_bytes(&index_to_bytes(&index)) {
-            Err(SnapshotError::Malformed { context }) => {
-                assert!(context.contains("partial"), "{context}");
-            }
-            other => panic!("expected Malformed, got {other:?}"),
-        }
+        write_atomic(&path, &large).unwrap();
+        write_atomic(&path, &small).unwrap();
+        let on_disk = std::fs::read(&path).unwrap();
+        assert_eq!(on_disk, small);
+        read_epoch(&on_disk).unwrap();
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, vec![EPOCH_NAME.to_string()], "temp file leaked");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A process-unique scratch directory for one test; removed and
@@ -1978,23 +1801,35 @@ mod tests {
 
     #[test]
     fn kind_confusion_is_a_typed_error() {
-        let corpus = generate(&SynthConfig::tiny());
-        let bytes = corpus_to_bytes(&corpus);
-        // A corpus container dropped in as a MANIFEST must fail by kind,
+        let index = small_segmented();
+        // An epoch container dropped in as a MANIFEST must fail by kind,
         // not by misparsing sections.
         let dir = temp_dir("kind");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(MANIFEST_NAME), &bytes).unwrap();
+        std::fs::write(dir.join(MANIFEST_NAME), epoch_to_bytes(index.corpus())).unwrap();
         assert!(matches!(
             load_segmented(&dir),
             Err(SnapshotError::WrongKind {
-                found: KIND_CORPUS,
+                found: KIND_EPOCH,
                 expected: KIND_MANIFEST
             })
         ));
+        // A chunk file standing in for a segment file, with the manifest
+        // re-pointed at its length and CRC, fails by kind too.
+        save_segmented(&dir, &index, 1).unwrap();
+        let manifest_path = dir.join(MANIFEST_NAME);
+        let mut manifest = manifest_from_bytes(&std::fs::read(&manifest_path).unwrap()).unwrap();
+        let chunk = std::fs::read(dir.join(chunk_file_name(0))).unwrap();
+        std::fs::write(dir.join(segment_file_name(manifest.segments[0].id)), &chunk).unwrap();
+        manifest.segments[0].file_len = chunk.len() as u64;
+        manifest.segments[0].file_crc = crc32(&chunk);
+        std::fs::write(&manifest_path, manifest_to_bytes(&manifest)).unwrap();
         assert!(matches!(
-            index_from_bytes(&bytes),
-            Err(SnapshotError::WrongKind { .. })
+            load_segmented(&dir),
+            Err(SnapshotError::WrongKind {
+                found: KIND_CHUNK,
+                expected: KIND_SEGMENT
+            })
         ));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2165,19 +2000,30 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The bytes of a valid `MANIFEST` — the one file whose sections
+    /// carry their own CRCs (every other file is checked whole against
+    /// the manifest).
+    fn manifest_bytes(tag: &str) -> Vec<u8> {
+        let dir = temp_dir(tag);
+        save_segmented(&dir, &small_segmented(), 1).unwrap();
+        let bytes = std::fs::read(dir.join(MANIFEST_NAME)).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        manifest_from_bytes(&bytes).unwrap();
+        bytes
+    }
+
     #[test]
     fn bad_magic_and_version_are_typed_errors() {
-        let corpus = generate(&SynthConfig::tiny());
-        let mut bytes = corpus_to_bytes(&corpus);
+        let mut bytes = manifest_bytes("magic");
         bytes[0] ^= 0xFF;
         assert!(matches!(
-            corpus_from_bytes(&bytes),
+            manifest_from_bytes(&bytes),
             Err(SnapshotError::BadMagic { .. })
         ));
         bytes[0] ^= 0xFF;
         bytes[8] = 99; // version field
         assert!(matches!(
-            corpus_from_bytes(&bytes),
+            manifest_from_bytes(&bytes),
             Err(SnapshotError::UnsupportedVersion { found: 99 })
         ));
     }
@@ -2185,43 +2031,131 @@ mod tests {
     #[test]
     fn empty_input_is_truncated_not_a_panic() {
         assert!(matches!(
-            corpus_from_bytes(&[]),
+            manifest_from_bytes(&[]),
+            Err(SnapshotError::Truncated { .. })
+        ));
+        assert!(matches!(
+            read_epoch(&[]),
             Err(SnapshotError::Truncated { .. })
         ));
     }
 
     #[test]
     fn oversized_section_length_is_rejected_before_any_slice() {
-        let corpus = generate(&SynthConfig::tiny());
-        let mut bytes = corpus_to_bytes(&corpus);
         // First section header starts at offset 20; its u64 length at 24.
-        bytes[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
+        // The epoch path skips per-section CRCs (the whole file was
+        // checked), so the length bound alone must stop it.
+        let mut manifest = manifest_bytes("oversized");
+        let mut epoch = epoch_to_bytes(small_segmented().corpus());
+        for bytes in [&mut manifest, &mut epoch] {
+            bytes[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
+        }
         assert!(matches!(
-            corpus_from_bytes(&bytes),
+            manifest_from_bytes(&manifest),
+            Err(SnapshotError::Truncated { .. })
+        ));
+        assert!(matches!(
+            read_epoch(&epoch),
             Err(SnapshotError::Truncated { .. })
         ));
     }
 
     #[test]
     fn payload_corruption_is_a_checksum_mismatch() {
-        let corpus = generate(&SynthConfig::tiny());
-        let mut bytes = corpus_to_bytes(&corpus);
+        let mut bytes = manifest_bytes("corrupt");
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         assert!(matches!(
-            corpus_from_bytes(&bytes),
-            Err(SnapshotError::ChecksumMismatch { .. })
+            manifest_from_bytes(&bytes),
+            Err(SnapshotError::ChecksumMismatch { tag: TAG_TOMB, .. })
         ));
     }
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let corpus = generate(&SynthConfig::tiny());
-        let mut bytes = corpus_to_bytes(&corpus);
+        let mut bytes = manifest_bytes("trailing");
         bytes.push(0);
         assert!(matches!(
-            corpus_from_bytes(&bytes),
+            manifest_from_bytes(&bytes),
             Err(SnapshotError::TrailingBytes { extra: 1 })
         ));
+    }
+
+    /// Rewrites segment file `slot` of the snapshot in `dir` with `lists`
+    /// as its raw `(doc, tf)` postings and patches the manifest with the
+    /// new file's length and CRC — a forgery every checksum accepts, so
+    /// only the segment reader's own validation can reject it.
+    fn forge_segment(dir: &Path, slot: usize, lists: &[Vec<(DocId, u32)>]) {
+        let manifest_path = dir.join(MANIFEST_NAME);
+        let mut manifest = manifest_from_bytes(&std::fs::read(&manifest_path).unwrap()).unwrap();
+        let entry = manifest.segments[slot];
+        let mut meta = Vec::new();
+        put_u64(&mut meta, entry.id);
+        put_u64(&mut meta, entry.fingerprint);
+        put_u64(&mut meta, entry.doc_count);
+        let mut postings = Vec::new();
+        put_u64(&mut postings, lists.len() as u64);
+        for list in lists {
+            put_u64(&mut postings, list.len() as u64);
+            for &(doc, tf) in list {
+                put_u32(&mut postings, doc);
+                put_u32(&mut postings, tf);
+            }
+        }
+        let bytes = assemble(KIND_SEGMENT, vec![(TAG_META, meta), (TAG_INDEX, postings)]);
+        std::fs::write(dir.join(segment_file_name(entry.id)), &bytes).unwrap();
+        manifest.segments[slot].file_len = bytes.len() as u64;
+        manifest.segments[slot].file_crc = crc32(&bytes);
+        std::fs::write(&manifest_path, manifest_to_bytes(&manifest)).unwrap();
+    }
+
+    #[test]
+    fn forged_segment_postings_fail_with_typed_contexts() {
+        // Near-cap IDFs keep every honest partial plausible while a
+        // forged term frequency can multiply one past the cap.
+        let honest = generate(&SynthConfig::tiny());
+        let n_terms = honest.num_terms();
+        let corpus = Corpus::from_parts(
+            honest.vocab().clone(),
+            honest.doc_store().clone(),
+            (0..n_terms as TermId).map(|t| honest.doc_freq(t)).collect(),
+            vec![1e95; n_terms],
+        );
+        let index = SegmentedIndex::build(corpus);
+        let lists: Vec<Vec<(DocId, u32)>> = (0..n_terms as TermId)
+            .map(|t| {
+                let postings = index.segments()[0].index().postings(t);
+                postings.iter().map(|p| (p.doc, p.tf)).collect()
+            })
+            .collect();
+        let busy = lists.iter().position(|l| l.len() >= 2).unwrap();
+        let num_docs = index.num_docs() as DocId;
+        type Forgery = fn(&mut Vec<(DocId, u32)>, DocId);
+        let cases: [(&str, Forgery); 4] = [
+            ("zero term frequency", |l, _| l[0].1 = 0),
+            ("document outside the corpus", |l, n| l[0].0 = n),
+            ("not in (partial desc, doc asc) order", |l, _| l.swap(0, 1)),
+            ("partial score outside the plausible range", |l, _| {
+                l[0].1 = u32::MAX
+            }),
+        ];
+        for (want, forge) in cases {
+            let dir = temp_dir("forged");
+            save_segmented(&dir, &index, 1).unwrap();
+            load_segmented(&dir).unwrap();
+            let mut forged = lists.clone();
+            forge(&mut forged[busy], num_docs);
+            forge_segment(&dir, 0, &forged);
+            match load_segmented(&dir) {
+                Err(SnapshotError::Malformed { context }) => {
+                    assert!(context.contains(want), "{want}: {context}");
+                }
+                other => panic!(
+                    "{want}: expected Malformed, got {:?}",
+                    other.map(|(_, generation)| generation)
+                ),
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

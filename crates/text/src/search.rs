@@ -18,7 +18,7 @@ use divtopk_core::diversify::{
     DiscDiversifier, Diversifier, DiversifierMetrics, DiversifyOutcome, ExactDiversifier,
     KnnDiversifier, MmrDiversifier, NoneDiversifier, SimilarityOracle, WindowDiversifier,
 };
-use divtopk_core::{ExactAlgorithm, FrameworkMetrics, Score, SearchError, SearchLimits};
+use divtopk_core::{FrameworkMetrics, Score, SearchError, SearchLimits};
 
 /// A diversified hit.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,28 +95,6 @@ impl SearchOptions {
         self
     }
 
-    /// Enables or disables diversification.
-    ///
-    /// Deprecated shim over [`DiversifyMode`]: `false` maps to
-    /// [`DiversifyMode::None`]; `true` restores the default
-    /// `Exact(Cut)` only when the current mode is `None` (any other
-    /// mode already diversifies and is left alone). A previous
-    /// `with_algorithm` choice is *not* resurrected by an off/on
-    /// round-trip — callers doing that dance should say
-    /// `with_mode(DiversifyMode::Exact(...))` directly.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use with_mode(DiversifyMode::None / ::Exact(..))"
-    )]
-    pub fn with_diversify(mut self, diversify: bool) -> SearchOptions {
-        if !diversify {
-            self.mode = DiversifyMode::None;
-        } else if self.mode == DiversifyMode::None {
-            self.mode = DiversifyMode::default();
-        }
-        self
-    }
-
     /// Overrides the framework bound-decay throttle.
     pub fn with_bound_decay(mut self, decay: f64) -> SearchOptions {
         self.bound_decay = decay;
@@ -126,16 +104,6 @@ impl SearchOptions {
     /// Overrides τ.
     pub fn with_tau(mut self, tau: f64) -> SearchOptions {
         self.tau = tau;
-        self
-    }
-
-    /// Overrides the inner exact algorithm.
-    ///
-    /// Deprecated shim over [`DiversifyMode`]: equivalent to
-    /// `with_mode(DiversifyMode::Exact(algorithm))`.
-    #[deprecated(since = "0.10.0", note = "use with_mode(DiversifyMode::Exact(..))")]
-    pub fn with_algorithm(mut self, algorithm: ExactAlgorithm) -> SearchOptions {
-        self.mode = DiversifyMode::Exact(algorithm);
         self
     }
 
@@ -258,8 +226,8 @@ where
             bound_decay,
         }
         .run(source, oracle, k)?,
-        DiversifyMode::Mmr(config) => MmrDiversifier {
-            lambda: config.lambda,
+        DiversifyMode::Mmr { lambda } => MmrDiversifier {
+            lambda: *lambda,
             limits,
             bound_decay,
         }
@@ -354,13 +322,38 @@ mod tests {
     use crate::jaccard::weighted_jaccard;
     use crate::query::query_for_band;
     use crate::synth::{SynthConfig, generate};
-    use divtopk_core::DiversityGraph;
     use divtopk_core::exhaustive::exhaustive;
+    use divtopk_core::{DiversityGraph, ExactAlgorithm};
 
     fn setup() -> (Corpus, InvertedIndex) {
         let corpus = generate(&SynthConfig::tiny());
         let index = InvertedIndex::build(&corpus);
         (corpus, index)
+    }
+
+    #[test]
+    fn document_mmr_prefers_diverse_docs() {
+        // Two near-duplicates outscore a distinct document; plain top-2
+        // returns both duplicates, MMR's redundancy penalty (weighted
+        // Jaccard) swaps the second one for the distinct document.
+        let mut b = Corpus::builder();
+        b.add_text("dup1", "solar solar panels efficiency");
+        b.add_text("dup2", "solar solar panels efficiency report");
+        b.add_text("other", "solar wind turbines offshore installation");
+        for i in 0..6 {
+            b.add_text(&format!("f{i}"), "filler background noise text");
+        }
+        let corpus = b.build();
+        let index = InvertedIndex::build(&corpus);
+        let searcher = DiversifiedSearcher::new(&corpus, &index);
+        let solar = corpus.term_id("solar").unwrap();
+        let docs = |mode: DiversifyMode| -> Vec<DocId> {
+            let options = SearchOptions::new(2).with_mode(mode);
+            let out = searcher.search_scan(solar, &options).unwrap();
+            out.hits.iter().map(|h| h.doc).collect()
+        };
+        assert_eq!(docs(DiversifyMode::None), vec![0, 1]);
+        assert_eq!(docs(DiversifyMode::mmr(0.5)), vec![0, 2]);
     }
 
     /// Offline oracle: materialize *all* matching docs, build the full

@@ -731,21 +731,53 @@ mod tests {
 
     #[test]
     fn build_partitioned_covers_every_posting_exactly_once() {
+        let two_docs = {
+            let mut b = Corpus::builder();
+            b.add_text("d0", "alpha beta");
+            b.add_text("d1", "alpha gamma");
+            b.build()
+        };
+        // More parts than documents leaves the surplus segments empty
+        // but valid.
+        for (corpus, parts_list) in [(base(150), vec![1usize, 3, 4]), (two_docs, vec![8])] {
+            let full = InvertedIndex::build(&corpus);
+            for parts in parts_list {
+                let seg = SegmentedIndex::build_partitioned(corpus.clone(), parts);
+                assert_eq!(seg.num_segments(), parts);
+                for t in 0..corpus.num_terms() as TermId {
+                    let total: usize = seg
+                        .segments()
+                        .iter()
+                        .map(|s| s.index().postings(t).len())
+                        .sum();
+                    assert_eq!(total, full.postings(t).len(), "term {t} parts {parts}");
+                    for (p, s) in seg.segments().iter().enumerate() {
+                        for posting in s.index().postings(t) {
+                            assert_eq!(posting.doc as usize % parts, p, "doc in wrong part");
+                        }
+                    }
+                }
+                seg.verify_rebuild_equivalence().unwrap();
+            }
+        }
+        // One part is the full index, bit for bit.
         let corpus = base(150);
         let full = InvertedIndex::build(&corpus);
-        for parts in [1usize, 3, 4] {
-            let seg = SegmentedIndex::build_partitioned(corpus.clone(), parts);
-            assert_eq!(seg.num_segments(), parts);
-            for t in 0..corpus.num_terms() as TermId {
-                let total: usize = seg
-                    .segments()
-                    .iter()
-                    .map(|s| s.index().postings(t).len())
-                    .sum();
-                assert_eq!(total, full.postings(t).len(), "term {t} parts {parts}");
+        let seg = SegmentedIndex::build_partitioned(corpus.clone(), 1);
+        for t in 0..corpus.num_terms() as TermId {
+            let (a, b) = (seg.segments()[0].index().postings(t), full.postings(t));
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(b) {
+                assert_eq!((x.doc, x.tf), (y.doc, y.tf));
+                assert_eq!(x.partial.to_bits(), y.partial.to_bits());
             }
-            seg.verify_rebuild_equivalence().unwrap();
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1")]
+    fn build_partitioned_rejects_zero_parts() {
+        let _ = SegmentedIndex::build_partitioned(base(10), 0);
     }
 
     #[test]

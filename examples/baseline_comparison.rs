@@ -8,8 +8,8 @@
 //!
 //! Run with: `cargo run --release --example baseline_comparison`
 
+use divtopk::core::diversify::mmr_select;
 use divtopk::core::greedy::greedy;
-use divtopk::text::mmr::{MmrConfig, mmr_documents};
 use divtopk::text::prelude::*;
 use divtopk::text::quality::{redundancy, total_score};
 use divtopk::{DiversityGraph, ResultSource, Scored};
@@ -54,8 +54,16 @@ fn main() {
         .map(|&v| cands[perm[v as usize] as usize].clone())
         .collect();
 
-    // MMR.
-    let mmr_sel = mmr_documents(&corpus, &cands, &MmrConfig::new(k).with_lambda(0.7));
+    // MMR (λ = 0.7) over the same pool.
+    let mmr_sel: Vec<Scored<DocId>> = mmr_select(
+        &cands,
+        |&a, &b| weighted_jaccard(&corpus, corpus.doc(a), corpus.doc(b)),
+        0.7,
+        k,
+    )
+    .into_iter()
+    .map(|i| cands[i].clone())
+    .collect();
 
     println!(
         "\n{:<10} {:>12} {:>14} {:>12}",

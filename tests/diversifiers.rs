@@ -1,9 +1,8 @@
 //! Property suite for the `Diversifier` leaves behind `DiversifyMode`:
 //! every mode must be deterministic across corpus+index rebuilds, the
 //! `Exact` leaf must be byte-identical to driving the core framework
-//! directly (the pre-redesign path), `None` must match both the
-//! deprecated `with_diversify(false)` shim and an offline plain top-k
-//! oracle, and each mode's defining invariant must hold on its output
+//! directly (the pre-redesign path), `None` must match an offline plain
+//! top-k oracle, and each mode's defining invariant must hold on its output
 //! (pairwise τ for exact, max-per-source windows for window, maximal
 //! independent sets for DisC).
 
@@ -169,7 +168,7 @@ fn exact_hits_are_pairwise_below_tau() {
 // ------------------------------------------------- none ≡ plain top-k oracle
 
 #[test]
-fn none_mode_is_plain_topk_and_matches_the_deprecated_flag() {
+fn none_mode_is_plain_topk() {
     let (corpus, index) = build(0x2E07);
     let searcher = DiversifiedSearcher::new(&corpus, &index);
     let term = probe_term(&corpus, &index);
@@ -182,15 +181,6 @@ fn none_mode_is_plain_topk_and_matches_the_deprecated_flag() {
                 .with_mode(DiversifyMode::None),
         )
         .unwrap();
-    // The deprecated boolean shim must route to the same leaf.
-    #[allow(deprecated)]
-    let via_flag = searcher
-        .search_scan(
-            term,
-            &SearchOptions::new(k).with_tau(0.4).with_diversify(false),
-        )
-        .unwrap();
-    assert_eq!(via_mode, via_flag);
     // Offline oracle: score every matching document and take the best k.
     // Compared tie-robustly through the *sum* (unique even when the
     // cutoff has equal-scored documents) and within an epsilon — the
@@ -215,40 +205,6 @@ fn none_mode_is_plain_topk_and_matches_the_deprecated_flag() {
         via_mode.hits.windows(2).all(|w| w[0].score >= w[1].score),
         "None hits are not score-descending"
     );
-}
-
-#[test]
-fn deprecated_shims_route_to_the_equivalent_modes() {
-    #[allow(deprecated)]
-    {
-        let base = SearchOptions::new(5).with_tau(0.3);
-        // algorithm → Exact(algorithm)
-        assert_eq!(
-            base.clone().with_algorithm(ExactAlgorithm::Dp).mode,
-            DiversifyMode::Exact(ExactAlgorithm::Dp)
-        );
-        // diversify(false) → None, regardless of prior mode
-        assert_eq!(
-            base.clone()
-                .with_algorithm(ExactAlgorithm::Dp)
-                .with_diversify(false)
-                .mode,
-            DiversifyMode::None
-        );
-        // diversify(true) restores the default exact mode from None…
-        assert_eq!(
-            base.clone().with_diversify(false).with_diversify(true).mode,
-            DiversifyMode::default()
-        );
-        // …but never clobbers an explicitly chosen non-None mode.
-        assert_eq!(
-            base.clone()
-                .with_mode(DiversifyMode::mmr(0.7))
-                .with_diversify(true)
-                .mode,
-            DiversifyMode::mmr(0.7)
-        );
-    }
 }
 
 // ------------------------------------------------------- per-mode invariants

@@ -46,16 +46,7 @@ fn engine_reexport_paths_resolve() {
     let engine =
         divtopk::engine::engine::Engine::new(corpus, divtopk::engine::engine::EngineConfig::new(2));
     assert_eq!(engine.stats().segments, 2);
-    // The static sharding primitive and the live-update segment index
-    // both stay reachable through the facade.
-    let _ = divtopk::engine::shard::ShardedCorpus::build(
-        {
-            let mut b = divtopk::text::corpus::Corpus::builder();
-            b.add_text("s0", "alpha beta");
-            b.build()
-        },
-        2,
-    );
+    // The live-update segment index stays reachable through the facade.
     let _: divtopk::prelude::SegmentedIndex = divtopk::text::segments::SegmentedIndex::build({
         let mut b = divtopk::text::corpus::Corpus::builder();
         b.add_text("s0", "alpha beta");
