@@ -79,3 +79,80 @@ pub mod prelude {
 }
 
 pub use prelude::*;
+
+#[cfg(test)]
+mod shard {
+    // The engine's shard layout: `EngineConfig::new(shards)` partitions the
+    // base corpus round-robin (`doc mod shards`) with
+    // `SegmentedIndex::build_partitioned`, one index segment per shard.
+    mod tests {
+        use divtopk_text::corpus::Corpus;
+        use divtopk_text::document::TermId;
+        use divtopk_text::index::InvertedIndex;
+        use divtopk_text::segments::SegmentedIndex;
+        use divtopk_text::synth::{SynthConfig, generate};
+
+        fn tiny() -> Corpus {
+            generate(&SynthConfig {
+                num_docs: 150,
+                ..SynthConfig::tiny()
+            })
+        }
+
+        #[test]
+        fn shard_postings_partition_the_full_index() {
+            let corpus = tiny();
+            let full = InvertedIndex::build(&corpus);
+            let sharded = SegmentedIndex::build_partitioned(corpus.clone(), 3);
+            assert_eq!(sharded.num_segments(), 3);
+            for t in 0..corpus.num_terms() as TermId {
+                let total: usize = sharded
+                    .segments()
+                    .iter()
+                    .map(|s| s.index().postings(t).len())
+                    .sum();
+                assert_eq!(total, full.postings(t).len(), "term {t}");
+                for (shard, s) in sharded.segments().iter().enumerate() {
+                    for p in s.index().postings(t) {
+                        assert_eq!(p.doc as usize % 3, shard, "doc in wrong shard");
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn single_shard_index_equals_full_index() {
+            let corpus = tiny();
+            let full = InvertedIndex::build(&corpus);
+            let sharded = SegmentedIndex::build_partitioned(corpus.clone(), 1);
+            for t in 0..corpus.num_terms() as TermId {
+                let a = sharded.segments()[0].index().postings(t);
+                let b = full.postings(t);
+                assert_eq!(a.len(), b.len());
+                for (x, y) in a.iter().zip(b) {
+                    assert_eq!((x.doc, x.tf), (y.doc, y.tf));
+                    assert_eq!(x.partial.to_bits(), y.partial.to_bits());
+                }
+            }
+        }
+
+        #[test]
+        fn more_shards_than_docs_is_fine() {
+            let mut b = Corpus::builder();
+            b.add_text("d0", "alpha beta");
+            b.add_text("d1", "alpha gamma");
+            let corpus = b.build();
+            let alpha = corpus.term_id("alpha").unwrap();
+            let sharded = SegmentedIndex::build_partitioned(corpus, 8);
+            assert_eq!(sharded.num_segments(), 8);
+            // Shards 2..8 are empty but valid.
+            let total: usize = sharded
+                .segments()
+                .iter()
+                .map(|s| s.index().postings(alpha).len())
+                .sum();
+            assert_eq!(total, 2);
+            sharded.verify_rebuild_equivalence().unwrap();
+        }
+    }
+}

@@ -87,3 +87,72 @@ pub mod prelude {
 }
 
 pub use prelude::*;
+
+#[cfg(test)]
+mod mmr {
+    // MMR over document-id pools with a caller-supplied similarity, run
+    // through the one implementation, `divtopk_core::diversify::mmr_select`,
+    // the way `figures` and `baseline_comparison` call it.
+    mod tests {
+        use divtopk_core::diversify::mmr_select;
+        use divtopk_core::{Score, Scored};
+
+        fn scored(items: &[(u32, f64)]) -> Vec<Scored<u32>> {
+            items
+                .iter()
+                .map(|&(id, s)| Scored::new(id, Score::new(s)))
+                .collect()
+        }
+
+        fn ids(pool: &[Scored<u32>], order: &[usize]) -> Vec<u32> {
+            order.iter().map(|&i| pool[i].item).collect()
+        }
+
+        #[test]
+        fn pure_relevance_is_plain_topk() {
+            let pool = scored(&[(1, 9.0), (2, 7.0), (0, 5.0), (3, 1.0)]);
+            let order = mmr_select(&pool, |_, _| 1.0, 1.0, 2);
+            assert_eq!(ids(&pool, &order), vec![1, 2]);
+        }
+
+        #[test]
+        fn redundancy_penalty_demotes_duplicates() {
+            // 0 and 1 are near-duplicates; 2 is distinct with a lower score.
+            let pool = scored(&[(0, 10.0), (1, 9.9), (2, 6.0)]);
+            let sim = |a: &u32, b: &u32| {
+                if (*a, *b) == (0, 1) || (*a, *b) == (1, 0) {
+                    0.95
+                } else {
+                    0.0
+                }
+            };
+            let order = mmr_select(&pool, sim, 0.5, 2);
+            assert_eq!(
+                ids(&pool, &order),
+                vec![0, 2],
+                "the duplicate must lose to the distinct doc"
+            );
+        }
+
+        #[test]
+        fn mmr_does_not_exclude_duplicates_when_k_is_large() {
+            // The key semantic difference from Definition 1: with room left,
+            // MMR still emits the near-duplicate.
+            let pool = scored(&[(0, 10.0), (1, 9.9), (2, 6.0)]);
+            let sim = |a: &u32, b: &u32| if *a != *b && *a + *b == 1 { 0.95 } else { 0.0 };
+            let order = mmr_select(&pool, sim, 0.5, 3);
+            assert_eq!(order.len(), 3, "MMR penalizes but never drops");
+            assert_eq!(ids(&pool, &order), vec![0, 2, 1]);
+        }
+
+        #[test]
+        fn deterministic_tie_break() {
+            let pool = scored(&[(0, 5.0), (1, 5.0), (2, 5.0)]);
+            let a = mmr_select(&pool, |_, _| 0.0, 0.7, 2);
+            let b = mmr_select(&pool, |_, _| 0.0, 0.7, 2);
+            assert_eq!(a, b);
+            // Utility ties go to the better relevance rank.
+            assert_eq!(ids(&pool, &a), vec![0, 1]);
+        }
+    }
+}
